@@ -1168,4 +1168,49 @@ col2im_add(const float *col, int channels, int ih, int iw, int k, int stride,
     }
 }
 
+// ---------------------------------------------- direct depthwise conv
+
+void
+axpy_strided(size_t n, float alpha, const float *x, size_t incx, float *y,
+             size_t incy)
+{
+    if (incx == 1 && incy == 1) {
+        axpy(n, alpha, x, y);
+        return;
+    }
+    for (size_t i = 0; i < n; ++i)
+        y[i * incy] += alpha * x[i * incx];
+}
+
+void
+depthwise_dw(const float *xp, int iwp, const float *dy, int oh, int ow,
+             int k, int stride, float *dw)
+{
+    // The taps' sums are independent, so they run interleaved, a chunk
+    // of taps per sweep over the output positions; each tap's own sum
+    // still adds its terms in ascending position order.
+    constexpr int kChunk = 16;
+    const int taps = k * k;
+    for (int t0 = 0; t0 < taps; t0 += kChunk) {
+        const int nt = std::min(kChunk, taps - t0);
+        float acc[kChunk] = {};
+        size_t off[kChunk];
+        for (int t = 0; t < nt; ++t)
+            off[t] = static_cast<size_t>((t0 + t) / k) * iwp + (t0 + t) % k;
+        for (int oy = 0; oy < oh; ++oy) {
+            const float *dyrow = dy + static_cast<size_t>(oy) * ow;
+            const float *xrow =
+                xp + static_cast<size_t>(oy) * stride * iwp;
+            for (int ox = 0; ox < ow; ++ox) {
+                const float g = dyrow[ox];
+                const float *xo = xrow + static_cast<size_t>(ox) * stride;
+                for (int t = 0; t < nt; ++t)
+                    acc[t] += g * xo[off[t]];
+            }
+        }
+        for (int t = 0; t < nt; ++t)
+            dw[t0 + t] += acc[t];
+    }
+}
+
 } // namespace autofl::kernels

@@ -290,6 +290,33 @@ void im2col(const float *x, int channels, int ih, int iw, int k, int stride,
 void col2im_add(const float *col, int channels, int ih, int iw, int k,
                 int stride, int pad, float *x);
 
+// ---------------------------------------------- direct depthwise conv
+// A depthwise convolution (one input and one output channel per group)
+// runs on one zero-padded input plane per channel, rows of width
+// iwp = iw + 2 * pad. Forward and the input gradient are one axpy /
+// axpy_strided call per tap; the weight gradient is depthwise_dw. Both
+// keep the reduction order of the scalar im2col + GEMM path and are
+// exact-tier: the same bits on every variant.
+
+/**
+ * y[i * incy] += alpha * x[i * incx], the BLAS strided axpy. Unit
+ * strides dispatch to axpy(); other strides run the same per-element
+ * mul + add in a scalar loop, so every variant gives the same bits.
+ */
+void axpy_strided(size_t n, float alpha, const float *x, size_t incx,
+                  float *y, size_t incy);
+
+/**
+ * Depthwise weight gradient of one channel: for every tap
+ * t = ky * k + kx, dw[t] += the sum over output positions (oy, ox), in
+ * ascending order from 0.0f, of
+ * dy[oy * ow + ox] * xp[(oy * stride + ky) * iwp + ox * stride + kx].
+ * That is the scalar gemm_nt(1, k * k, oh * ow) an im2col depthwise
+ * conv runs for dW, bit for bit, on every variant (never dispatched).
+ */
+void depthwise_dw(const float *xp, int iwp, const float *dy, int oh, int ow,
+                  int k, int stride, float *dw);
+
 } // namespace autofl::kernels
 
 #endif // AUTOFL_KERNELS_KERNELS_H

@@ -693,6 +693,10 @@ avx2_cast_f64_to_f32(size_t n, const double *acc, float *out)
         _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(acc + i)));
     for (; i < n; ++i)
         out[i] = static_cast<float>(acc[i]);
+    // The loop compiles to vcvtpd2psy mem, xmm: a 256-bit op that names
+    // no ymm register, so the compiler emits no vzeroupper for it and
+    // the caller's SSE code would run with dirty upper state.
+    _mm256_zeroupper();
 }
 
 void

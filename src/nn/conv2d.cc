@@ -1,5 +1,6 @@
 #include "conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -44,9 +45,10 @@ Conv2D::infer(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
     const int batch = x.dim(0);
-    // Grouped (depthwise) convolutions stay per-sample: their GEMMs
-    // are so small (depthwise M = 1, K = k*k) that gathering a wide
-    // column buffer costs more than the GEMM saves. Pointwise convs
+    // Grouped convolutions stay per-sample: depthwise ones take the
+    // direct path, which runs no GEMM to widen, and the per-group GEMMs
+    // of the others are so small that gathering a wide column buffer
+    // costs more than the GEMM saves. Pointwise convs
     // skip the wide gather too: convolve() needs no unfold for them
     // and packs W's panels once for the whole batch, so the gather
     // and the output un-scatter would add the only copies in the
@@ -111,6 +113,8 @@ Conv2D::infer(Tensor x)
 Tensor
 Conv2D::convolve(const Tensor &xin)
 {
+    if (depthwise())
+        return convolve_depthwise(xin);
     const int batch = xin.dim(0), ih = xin.dim(2), iw = xin.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
     const int icg = in_ch_ / groups_, ocg = out_ch_ / groups_;
@@ -166,6 +170,8 @@ Conv2D::convolve(const Tensor &xin)
 Tensor
 Conv2D::backward(const Tensor &grad_out)
 {
+    if (depthwise())
+        return backward_depthwise(grad_out);
     const Tensor &x = x_cache_;
     const int batch = x.dim(0), ih = x.dim(2), iw = x.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
@@ -229,6 +235,121 @@ Conv2D::backward(const Tensor &grad_out)
             if (!pointwise())
                 kernels::col2im_add(dcol_.data(), icg, ih, iw, k_, stride_,
                                     pad_, dxg);
+        }
+    }
+    return dx;
+}
+
+void
+Conv2D::pad_input(const float *x, int ih, int iw)
+{
+    const int iwp = iw + 2 * pad_;
+    float *row = xpad_.data() + static_cast<size_t>(pad_) * iwp + pad_;
+    for (int y = 0; y < ih; ++y)
+        std::memcpy(row + static_cast<size_t>(y) * iwp,
+                    x + static_cast<size_t>(y) * iw,
+                    sizeof(float) * static_cast<size_t>(iw));
+}
+
+Tensor
+Conv2D::convolve_depthwise(const Tensor &xin)
+{
+    const int batch = xin.dim(0), ih = xin.dim(2), iw = xin.dim(3);
+    const int oh = out_size(ih), ow = out_size(iw);
+    const int iwp = iw + 2 * pad_;
+    const int taps = k_ * k_;
+    const size_t len = static_cast<size_t>(oh - 1) * iwp + ow;
+    Tensor y({batch, out_ch_, oh, ow});
+
+    // pad_input() rewrites only the interior: zero the border once.
+    xpad_.assign(static_cast<size_t>(ih + 2 * pad_) * iwp, 0.0f);
+    plane_.resize(len);
+    for (int n = 0; n < batch; ++n) {
+        for (int c = 0; c < out_ch_; ++c) {
+            const size_t nc = static_cast<size_t>(n) * out_ch_ + c;
+            pad_input(xin.data() + nc * ih * iw, ih, iw);
+            // Bias first, then the taps in ascending order: the GEMM
+            // path's reduction order, zero-weight skip included.
+            std::fill(plane_.begin(), plane_.end(),
+                      b_[static_cast<size_t>(c)]);
+            const float *wc = w_.data() + static_cast<size_t>(c) * taps;
+            for (int t = 0; t < taps; ++t) {
+                if (wc[t] == 0.0f)
+                    continue;
+                const size_t off =
+                    static_cast<size_t>(t / k_) * iwp + t % k_;
+                kernels::axpy_strided(len, wc[t], xpad_.data() + off,
+                                      stride_, plane_.data(), 1);
+            }
+            float *yc = y.data() + nc * oh * ow;
+            for (int oy = 0; oy < oh; ++oy)
+                std::memcpy(yc + static_cast<size_t>(oy) * ow,
+                            plane_.data() + static_cast<size_t>(oy) * iwp,
+                            sizeof(float) * static_cast<size_t>(ow));
+        }
+    }
+    return y;
+}
+
+Tensor
+Conv2D::backward_depthwise(const Tensor &grad_out)
+{
+    const Tensor &x = x_cache_;
+    const int batch = x.dim(0), ih = x.dim(2), iw = x.dim(3);
+    const int oh = out_size(ih), ow = out_size(iw);
+    const int iwp = iw + 2 * pad_;
+    const int taps = k_ * k_;
+    const int ospatial = oh * ow;
+    const size_t len = static_cast<size_t>(oh - 1) * iwp + ow;
+    const size_t plane = static_cast<size_t>(ih + 2 * pad_) * iwp;
+    assert(grad_out.dim(1) == out_ch_ && grad_out.dim(2) == oh &&
+           grad_out.dim(3) == ow);
+    Tensor dx({batch, in_ch_, ih, iw});
+
+    // Only interiors are rewritten per channel: xpad_'s border and
+    // plane_'s columns past ow stay zero. The zero dy columns add
+    // w * 0 to dx cells, which leaves every sum unchanged.
+    xpad_.assign(plane, 0.0f);
+    plane_.assign(len, 0.0f);
+    dxpad_.resize(plane);
+    for (int n = 0; n < batch; ++n) {
+        for (int c = 0; c < out_ch_; ++c) {
+            const size_t nc = static_cast<size_t>(n) * out_ch_ + c;
+            const float *dyc = grad_out.data() + nc * ospatial;
+            float &db = db_[static_cast<size_t>(c)];
+            for (int i = 0; i < ospatial; ++i)
+                db += dyc[i];
+            pad_input(x.data() + nc * ih * iw, ih, iw);
+            kernels::depthwise_dw(xpad_.data(), iwp, dyc, oh, ow, k_,
+                                  stride_,
+                                  dw_.data() + static_cast<size_t>(c) * taps);
+
+            // dx: scatter w[t] * dy into the padded plane tap by tap,
+            // in col2im_add's ascending tap order; the border cells
+            // collect the out-of-range taps col2im_add drops.
+            for (int oy = 0; oy < oh; ++oy)
+                std::memcpy(plane_.data() + static_cast<size_t>(oy) * iwp,
+                            dyc + static_cast<size_t>(oy) * ow,
+                            sizeof(float) * static_cast<size_t>(ow));
+            std::fill(dxpad_.begin(), dxpad_.end(), 0.0f);
+            const float *wc = w_.data() + static_cast<size_t>(c) * taps;
+            for (int t = 0; t < taps; ++t) {
+                if (wc[t] == 0.0f)
+                    continue;
+                const size_t off =
+                    static_cast<size_t>(t / k_) * iwp + t % k_;
+                kernels::axpy_strided(len, wc[t], plane_.data(), 1,
+                                      dxpad_.data() + off, stride_);
+            }
+            // dx starts at zero and each channel is written once, so
+            // adding the interior back is a copy.
+            float *dxc = dx.data() + nc * ih * iw;
+            const float *row =
+                dxpad_.data() + static_cast<size_t>(pad_) * iwp + pad_;
+            for (int yy = 0; yy < ih; ++yy)
+                std::memcpy(dxc + static_cast<size_t>(yy) * iw,
+                            row + static_cast<size_t>(yy) * iwp,
+                            sizeof(float) * static_cast<size_t>(iw));
         }
     }
     return dx;

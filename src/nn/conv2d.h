@@ -12,6 +12,13 @@
  * convolutions skip the unfold and multiply the input directly.
  * Backward recomputes the column buffer (cheaper than caching the k^2x
  * blow-up) for dW and folds the W^T dy product back with col2im.
+ *
+ * Depthwise convolutions (one input and one output channel per group)
+ * skip im2col and GEMM: each channel's input is copied into a
+ * zero-padded plane and every tap is one axpy over it (see
+ * convolve_depthwise()). Per output element that is the same ascending
+ * reduction the scalar GEMM path runs, and it is exact-tier, so the
+ * results are the same bits on every kernel variant.
  */
 #ifndef AUTOFL_NN_CONV2D_H
 #define AUTOFL_NN_CONV2D_H
@@ -58,9 +65,43 @@ class Conv2D : public Layer
     AlignedFloatVec dcol_;  ///< Backward column-gradient scratch.
     AlignedFloatVec colw_;  ///< Batch-wide column buffer (infer only).
     AlignedFloatVec outw_;  ///< Batch-wide output buffer (infer only).
+    AlignedFloatVec xpad_;  ///< Depthwise: zero-padded input plane.
+    AlignedFloatVec plane_;  ///< Depthwise: y or dy rows at the padded width.
+    AlignedFloatVec dxpad_;  ///< Depthwise backward: padded dx plane.
 
-    /** Shared im2col + GEMM body of forward() and infer(batch == 1). */
+    /**
+     * Shared body of forward() and the per-sample infer(): the direct
+     * depthwise path, or im2col + GEMM.
+     */
     Tensor convolve(const Tensor &xin);
+
+    /**
+     * Direct depthwise forward. Per channel: bias-fill plane_, then
+     * for each tap with a nonzero weight one axpy of the padded input
+     * plane, shifted by the tap, into plane_, whose rows have the
+     * padded width iwp (so output (oy, ox) reads input
+     * stride * (oy * iwp + ox) + tap offset); then compact its rows.
+     */
+    Tensor convolve_depthwise(const Tensor &xin);
+
+    /**
+     * Direct depthwise backward: db as in backward(), dW through
+     * kernels::depthwise_dw, dx as one axpy per tap of dy (at the
+     * padded row width) into a padded dx plane, whose interior is dx.
+     */
+    Tensor backward_depthwise(const Tensor &grad_out);
+
+    /**
+     * Copy channel plane @p x {ih, iw} into the interior of xpad_,
+     * whose border the caller has zeroed.
+     */
+    void pad_input(const float *x, int ih, int iw);
+
+    /** One input and one output channel per group. */
+    bool depthwise() const
+    {
+        return in_ch_ == groups_ && out_ch_ == groups_;
+    }
 
     /** Whether im2col is the identity (pointwise convolution). */
     bool pointwise() const

@@ -67,6 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 3, 4, 6, 3, 1, 1, 1},
                       ConvCase{1, 2, 2, 6, 3, 2, 1, 1},
                       ConvCase{2, 4, 4, 5, 3, 1, 1, 4},   // depthwise
+                      ConvCase{2, 3, 3, 7, 3, 2, 1, 3},   // depthwise s2
                       ConvCase{1, 4, 8, 4, 1, 1, 0, 1},   // pointwise
                       ConvCase{2, 6, 6, 5, 3, 1, 1, 2},   // grouped
                       ConvCase{1, 1, 1, 7, 5, 2, 2, 1}));

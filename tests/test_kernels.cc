@@ -6,9 +6,16 @@
  * Contract under test (src/kernels/README.md): per variant, results are
  * bitwise deterministic; the scalar GEMM variants are bit-identical to
  * the seed triple loops; elementwise kernels are bit-identical across
- * ALL variants; GEMM/conv variants agree within 1e-4 relative.
+ * ALL variants; GEMM/conv variants agree within 1e-4 relative, except
+ * the direct depthwise conv, which is the scalar GEMM path's bits on
+ * every variant; every kernel returns with clean upper vector state.
  */
 #include <cmath>
+#include <cstdint>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -313,6 +320,284 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{2, 4, 4, 7, 3, 1, 1, 4},   // depthwise
                       ConvShape{1, 6, 6, 10, 3, 2, 1, 2},  // strided group
                       ConvShape{3, 1, 2, 12, 5, 2, 2, 1}));
+
+struct DepthwiseShape
+{
+    int batch, channels, side, kernel, stride, pad;
+};
+
+/** Everything a depthwise conv computes, flattened per output. */
+struct DepthwiseOutputs
+{
+    std::vector<float> y, dx, dw, db, inferred;
+};
+
+/**
+ * The im2col + GEMM depthwise conv, per (sample, channel): bias fill
+ * then gemm(1, ospatial, k*k) forward; db sums, gemm_nt dW, gemm_tn
+ * dcol and col2im_add dx backward. Run on the scalar arch it is the
+ * bit-exact baseline of the direct path.
+ */
+DepthwiseOutputs
+depthwise_reference(const DepthwiseShape &c, const Tensor &w,
+                    const Tensor &b, const Tensor &x, const Tensor &dy)
+{
+    const int k = c.kernel, taps = k * k, side = c.side;
+    const int os = kernels::conv_out_size(side, k, c.stride, c.pad);
+    const int ospatial = os * os, plane = side * side;
+    std::vector<float> col(static_cast<size_t>(taps) * ospatial);
+    std::vector<float> dcol(col.size());
+    DepthwiseOutputs r;
+    r.y.resize(static_cast<size_t>(c.batch) * c.channels * ospatial);
+    r.dx.assign(x.size(), 0.0f);
+    r.dw.assign(w.size(), 0.0f);
+    r.db.assign(b.size(), 0.0f);
+    for (int n = 0; n < c.batch; ++n) {
+        for (int ch = 0; ch < c.channels; ++ch) {
+            const size_t nc = static_cast<size_t>(n) * c.channels + ch;
+            const float *wc = w.data() + static_cast<size_t>(ch) * taps;
+            const float *dyc = dy.data() + nc * ospatial;
+            float *yc = r.y.data() + nc * ospatial;
+            kernels::im2col(x.data() + nc * plane, 1, side, side, k,
+                            c.stride, c.pad, col.data());
+            for (int i = 0; i < ospatial; ++i)
+                yc[i] = b[static_cast<size_t>(ch)];
+            kernels::gemm(1, ospatial, taps, wc, taps, col.data(), ospatial,
+                          yc, ospatial, /*accumulate=*/true);
+            for (int i = 0; i < ospatial; ++i)
+                r.db[static_cast<size_t>(ch)] += dyc[i];
+            kernels::gemm_nt(1, taps, ospatial, dyc, ospatial, col.data(),
+                             ospatial, r.dw.data() + ch * taps, taps,
+                             /*accumulate=*/true);
+            kernels::gemm_tn(taps, ospatial, 1, wc, taps, dyc, ospatial,
+                             dcol.data(), ospatial);
+            kernels::col2im_add(dcol.data(), 1, side, side, k, c.stride,
+                                c.pad, r.dx.data() + nc * plane);
+        }
+    }
+    r.inferred = r.y;
+    return r;
+}
+
+class DepthwiseConvTest : public ::testing::TestWithParam<DepthwiseShape>
+{
+};
+
+/**
+ * The direct depthwise path gives y, dx, dW, db and infer() bit for bit
+ * equal to the scalar im2col + GEMM reference, on every variant.
+ */
+TEST_P(DepthwiseConvTest, DirectPathMatchesScalarGemmBitwise)
+{
+    ArchGuard guard;
+    const auto c = GetParam();
+    Conv2D layer(c.channels, c.channels, c.kernel, c.stride, c.pad,
+                 c.channels);
+    Rng rng(53);
+    layer.init_weights(rng);
+    Tensor &w = *layer.params()[0];
+    Tensor &b = *layer.params()[1];
+    for (size_t i = 0; i < b.size(); ++i)
+        b[i] = static_cast<float>(rng.uniform(-1, 1));
+    w[1] = 0.0f;  // The zero-weight tap skip is part of the order.
+    Tensor x({c.batch, c.channels, c.side, c.side});
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform(-1, 1));
+    const int os = kernels::conv_out_size(c.side, c.kernel, c.stride, c.pad);
+    Tensor dy({c.batch, c.channels, os, os});
+    for (size_t i = 0; i < dy.size(); ++i)
+        dy[i] = static_cast<float>(rng.uniform(-1, 1));
+
+    auto run = [&](KernelArch arch) {
+        kernels::set_kernel_arch(arch);
+        DepthwiseOutputs r;
+        const Tensor y = layer.forward(x);
+        layer.zero_grad();
+        const Tensor dx = layer.backward(dy);
+        r.y.assign(y.vec().begin(), y.vec().end());
+        r.dx.assign(dx.vec().begin(), dx.vec().end());
+        r.dw.assign(layer.grads()[0]->vec().begin(),
+                    layer.grads()[0]->vec().end());
+        r.db.assign(layer.grads()[1]->vec().begin(),
+                    layer.grads()[1]->vec().end());
+        const Tensor inferred = layer.infer(x);
+        r.inferred.assign(inferred.vec().begin(), inferred.vec().end());
+        return r;
+    };
+
+    kernels::set_kernel_arch(KernelArch::Scalar);
+    const DepthwiseOutputs ref = depthwise_reference(c, w, b, x, dy);
+    for (KernelArch arch : kernels::supported_kernel_archs()) {
+        const DepthwiseOutputs got = run(arch);
+        const char *name = kernels::kernel_arch_name(arch);
+        EXPECT_EQ(got.y, ref.y) << name;
+        EXPECT_EQ(got.dx, ref.dx) << name;
+        EXPECT_EQ(got.dw, ref.dw) << name;
+        EXPECT_EQ(got.db, ref.db) << name;
+        EXPECT_EQ(got.inferred, ref.inferred) << name;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DepthwiseConvTest,
+    ::testing::Values(DepthwiseShape{1, 8, 12, 3, 1, 1},
+                      DepthwiseShape{16, 8, 12, 3, 1, 1},
+                      DepthwiseShape{1, 16, 6, 3, 1, 1},
+                      DepthwiseShape{16, 16, 6, 3, 1, 1},
+                      DepthwiseShape{1, 32, 3, 3, 1, 1},
+                      DepthwiseShape{16, 32, 3, 3, 1, 1},
+                      DepthwiseShape{2, 4, 9, 5, 1, 2},    // k5 p2
+                      DepthwiseShape{2, 4, 9, 3, 2, 1},    // s2
+                      DepthwiseShape{2, 3, 10, 5, 2, 2},   // k5 p2 s2
+                      DepthwiseShape{1, 2, 8, 3, 2, 0}));  // s2, no pad
+
+#if defined(__x86_64__)
+/**
+ * Whether XGETBV with ECX = 1 (the XINUSE state-component bitmap) is
+ * available: CPUID.(0Dh,1):EAX[2] on an OS that enabled XSAVE.
+ */
+bool
+has_xinuse()
+{
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_OSXSAVE) == 0 ||
+        __get_cpuid_max(0, nullptr) < 0xD)
+        return false;
+    __cpuid_count(0xD, 1, a, b, c, d);
+    return (a & (1u << 2)) != 0;
+}
+
+/** XINUSE bits 2 (AVX upper halves) and 6 (ZMM_Hi256). */
+uint64_t
+dirty_upper_state()
+{
+    uint32_t lo = 0, hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+    return ((static_cast<uint64_t>(hi) << 32) | lo) & 0x44;
+}
+
+/**
+ * Every kernel returns with clean upper vector state. A kernel that
+ * leaves it dirty makes the caller's later SSE code pay a
+ * state-transition penalty (several times slower) until something
+ * clears it.
+ */
+TEST(UpperState, EveryKernelReturnsClean)
+{
+    if (!has_xinuse())
+        GTEST_SKIP() << "XGETBV with ECX=1 not available";
+    ArchGuard guard;
+    const bool avx = kernels::kernel_arch_supported(KernelArch::Avx2);
+    Rng rng(54);
+    const size_t cap = 64 * 64;
+    const auto a = random_vec(cap, rng);
+    const auto b = random_vec(cap, rng);
+    std::vector<float> y(cap), v(cap), c(cap), dz(cap), dc(cap);
+    std::vector<double> acc(cap, 0.5);
+    std::vector<uint8_t> mask(cap);
+    std::vector<int8_t> q(cap);
+    std::vector<uint16_t> h(cap);
+
+    auto probe = [&](KernelArch arch, const char *name, int n, auto &&fn) {
+        if (avx)
+            __asm__ volatile("vzeroupper");
+        fn();
+        const uint64_t dirty = dirty_upper_state();
+        EXPECT_EQ(dirty, 0u) << name << " n=" << n << " on "
+                             << kernels::kernel_arch_name(arch);
+    };
+
+    for (KernelArch arch : kernels::supported_kernel_archs()) {
+        kernels::set_kernel_arch(arch);
+        for (int n : {0, 1, 3, 4, 5, 17, 64}) {
+            const size_t sn = static_cast<size_t>(n);
+            const float *pa = a.data(), *pb = b.data();
+            float *py = y.data();
+            probe(arch, "gemm", n, [&] {
+                kernels::gemm(n, n, n, pa, n, pb, n, py, n);
+            });
+            probe(arch, "gemm_tn", n, [&] {
+                kernels::gemm_tn(n, n, n, pa, n, pb, n, py, n, true);
+            });
+            probe(arch, "gemm_nt", n, [&] {
+                kernels::gemm_nt(n, n, n, pa, n, pb, n, py, n, true);
+            });
+            probe(arch, "axpy", n,
+                  [&] { kernels::axpy(sn, 0.5f, pa, py); });
+            probe(arch, "scale", n, [&] { kernels::scale(sn, 0.5f, py); });
+            probe(arch, "vadd", n, [&] { kernels::vadd(sn, pa, py); });
+            probe(arch, "vsub", n, [&] { kernels::vsub(sn, pa, py); });
+            probe(arch, "add_bias_rows", n,
+                  [&] { kernels::add_bias_rows(3, n, pa, py); });
+            probe(arch, "accumulate_rows", n,
+                  [&] { kernels::accumulate_rows(3, n, pa, py); });
+            probe(arch, "relu_forward", n,
+                  [&] { kernels::relu_forward(sn, py, mask.data()); });
+            probe(arch, "relu_backward", n,
+                  [&] { kernels::relu_backward(sn, mask.data(), py); });
+            probe(arch, "sgd_step", n, [&] {
+                kernels::sgd_step(sn, py, pa, v.data(), 0.1f, 1e-4f, 0.9f);
+            });
+            probe(arch, "sgd_step_prox", n, [&] {
+                kernels::sgd_step_prox(sn, py, pa, v.data(), pb, 0.1f,
+                                       1e-4f, 0.9f, 0.01f);
+            });
+            probe(arch, "absmax", n, [&] { kernels::absmax(sn, pa); });
+            probe(arch, "quantize_i8", n, [&] {
+                kernels::quantize_i8(sn, pa, 100.0f, q.data());
+            });
+            probe(arch, "dequantize_i8", n, [&] {
+                kernels::dequantize_i8(sn, q.data(), 0.01f, py);
+            });
+            probe(arch, "fp16_encode", n,
+                  [&] { kernels::fp16_encode(sn, pa, h.data()); });
+            probe(arch, "fp16_decode", n,
+                  [&] { kernels::fp16_decode(sn, h.data(), py); });
+            probe(arch, "axpy_f64", n,
+                  [&] { kernels::axpy_f64(sn, 0.5, pa, acc.data()); });
+            probe(arch, "diff_axpy_f64", n, [&] {
+                kernels::diff_axpy_f64(sn, 0.5, pa, pb, acc.data());
+            });
+            probe(arch, "cast_f64_to_f32", n,
+                  [&] { kernels::cast_f64_to_f32(sn, acc.data(), py); });
+            probe(arch, "apply_step_f64", n, [&] {
+                kernels::apply_step_f64(sn, py, 0.5, acc.data());
+            });
+            // One sample, hidden = n: z is {1, 4n}.
+            std::vector<float> z(a.begin(), a.begin() + 4 * sn + 1);
+            probe(arch, "lstm_gate_forward", n, [&] {
+                kernels::lstm_gate_forward(1, n, z.data(), pb, c.data(),
+                                           py, n);
+            });
+            probe(arch, "lstm_gate_infer", n, [&] {
+                kernels::lstm_gate_infer(1, n, z.data(), pb, c.data(), py,
+                                         n);
+            });
+            probe(arch, "lstm_gate_backward", n, [&] {
+                kernels::lstm_gate_backward(1, n, z.data(), pb, c.data(),
+                                            pa, pb, dz.data(), dc.data());
+            });
+        }
+
+        // The packed-panel driver and its prepacked operands.
+        const kernels::GemmPath saved =
+            kernels::set_gemm_path(kernels::GemmPath::Packed);
+        const int m = 64;
+        probe(arch, "gemm (packed)", m, [&] {
+            kernels::gemm(m, m, m, a.data(), m, b.data(), m, y.data(), m);
+        });
+        const auto pa = kernels::pack_gemm_a(m, m, a.data(), m);
+        probe(arch, "gemm_packed_a", m, [&] {
+            kernels::gemm_packed_a(pa, m, b.data(), m, y.data(), m);
+        });
+        const auto pb = kernels::pack_gemm_b(m, m, b.data(), m);
+        probe(arch, "gemm_packed_b", m, [&] {
+            kernels::gemm_packed_b(m, a.data(), m, pb, y.data(), m);
+        });
+        kernels::set_gemm_path(saved);
+    }
+}
+#endif
 
 /** LSTM forward/backward agree across variants within tolerance. */
 TEST(LstmParity, ForwardBackwardParity)
